@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test chaos slow bench bench-smoke all
+.PHONY: test chaos slow bench bench-smoke perfbench-test all
 
 # Tier-1: the fast suite (the chaos storm matrix is deselected by the
 # `-m 'not chaos'` default in pyproject.toml).
@@ -23,6 +23,11 @@ slow:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's own tests (perfbench/ sits outside the
+# default `testpaths`).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q --timeout=300
 
 # Quick serial-vs-overlapped round-pipeline throughput comparison, an
 # indexed-vs-exact clustering scaling spot check, a 1-vs-2-worker

@@ -129,12 +129,12 @@ def extract_internal_links(html: str) -> list[str]:
 class FeatureExtractor:
     """Computes :class:`PageFeatures` for fetched pages.
 
-    Simhash computation dominates extraction cost, so fingerprints are
-    memoised by body identity — rounds overwhelmingly refetch unchanged
-    pages (the paper's churn is ~3% per round).  The memo is a bounded
-    LRU keyed by a real content digest: a 51-round campaign must not
-    leak memory, and Python's ``hash()`` collides too easily to key a
-    correctness-critical cache.
+    Simhash is the costliest step of extraction (tokenize, shingle, hash
+    and vote), so fingerprints are memoised by body identity — rounds
+    overwhelmingly refetch unchanged pages (the paper's churn is ~3% per
+    round).  The memo is a bounded LRU keyed by a real content digest: a
+    51-round campaign must not leak memory, and Python's ``hash()``
+    collides too easily to key a correctness-critical cache.
     """
 
     def __init__(self, *, memoize: bool = True, max_cache_entries: int = 4096):

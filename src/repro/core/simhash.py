@@ -21,13 +21,12 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised via the fallback-path tests
-    import numpy as _np
+import numpy as np
 
-    if not hasattr(_np, "bitwise_count"):  # numpy < 2.0
-        _np = None  # type: ignore[assignment]
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+#: Gate of the packed Hamming kernels below.  numpy >= 2.0 is a hard
+#: dependency; the name stays patchable so the remaining numpy-less
+#: branches in ``analysis/`` stay testable until they are removed.
+_np = np
 
 __all__ = [
     "HASH_BITS",
@@ -51,6 +50,11 @@ HASH_WORDS = (HASH_BITS + 63) // 64
 _HASH_MASK = (1 << HASH_BITS) - 1
 
 _WORD_MASK = (1 << 64) - 1
+
+#: Shingles per block of the simhash vote.  The int64 mat-vec copies its
+#: uint8 bit rows to int64, so blocking caps that copy at 3 MB: a
+#: 512 KB body (~80k shingles) would otherwise need ~60 MB at once.
+_VOTE_ROWS = 4096
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -86,35 +90,34 @@ def shingles(tokens: list[str], width: int = 3) -> Iterable[str]:
         yield " ".join(tokens[start : start + width])
 
 
-def _feature_hash(feature: str) -> int:
-    """Hash a feature string to ``HASH_BITS`` bits (stable across runs)."""
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=12).digest()
-    return int.from_bytes(digest, "big") & _HASH_MASK
-
-
 def simhash(text: str, *, shingle_width: int = 3) -> int:
     """Compute the 96-bit simhash fingerprint of *text*.
 
     Returns 0 for documents with no extractable tokens, matching the
     behaviour of treating empty pages as a single degenerate fingerprint.
+
+    The vote is a weighted mat-vec: each shingle's 12-byte blake2b
+    digest is read big-endian, so ``unpackbits`` column 0 is fingerprint
+    bit 95.  A bit is set only on a strictly positive vote; ties stay
+    unset.
     """
     tokens = tokenize(text)
     if not tokens:
         return 0
     weights = Counter(shingles(tokens, shingle_width))
-    votes = [0] * HASH_BITS
-    for feature, weight in weights.items():
-        value = _feature_hash(feature)
-        for bit in range(HASH_BITS):
-            if value & (1 << bit):
-                votes[bit] += weight
-            else:
-                votes[bit] -= weight
-    fingerprint = 0
-    for bit in range(HASH_BITS):
-        if votes[bit] > 0:
-            fingerprint |= 1 << bit
-    return fingerprint
+    digests = b"".join(
+        hashlib.blake2b(feature.encode("utf-8"), digest_size=12).digest()
+        for feature in weights
+    )
+    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8)).reshape(
+        len(weights), HASH_BITS
+    )
+    counts = np.fromiter(weights.values(), dtype=np.int64, count=len(weights))
+    votes = -counts.sum()
+    for start in range(0, len(counts), _VOTE_ROWS):
+        rows = slice(start, start + _VOTE_ROWS)
+        votes = votes + (2 * counts[rows]) @ bits[rows]
+    return int.from_bytes(np.packbits(votes > 0).tobytes(), "big")
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -129,10 +132,10 @@ def hamming_distance(a: int, b: int) -> int:
 # Hamming distance over millions of fingerprint pairs.  The kernels below
 # pack fingerprints into a (n, HASH_WORDS) uint64 matrix and compute
 # distances with ``numpy.bitwise_count`` — bit-for-bit identical to the
-# scalar :func:`hamming_distance`.  Every caller must keep a pure-python
-# path for environments without numpy (or with numpy < 2.0): gate on
-# :func:`numpy_available` rather than importing numpy directly, so the
-# fallback is testable by patching ``repro.core.simhash._np``.
+# scalar :func:`hamming_distance`.  numpy >= 2.0 is a hard dependency
+# (the simhash vote above needs numpy too); callers that still gate on
+# :func:`numpy_available` are exercised by patching
+# ``repro.core.simhash._np``.
 
 
 def numpy_available() -> bool:

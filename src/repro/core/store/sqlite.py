@@ -629,9 +629,8 @@ class MeasurementStore(StoreBackend):
             "INSERT OR REPLACE INTO view_ip_history "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                tuple(_base.light_row(row)[name]
-                      for name in IP_HISTORY_COLUMNS)
-                for row in row_dicts
+                tuple(projected[name] for name in IP_HISTORY_COLUMNS)
+                for projected in map(_base.light_row, row_dicts)
             ),
         )
         counts = _base.summarize_rows(row_dicts)

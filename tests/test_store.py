@@ -13,6 +13,7 @@ from repro.core.records import (
 )
 from repro.core.records import RoundRecord
 from repro.core.store import MeasurementStore
+from repro.core.store.base import IP_HISTORY_COLUMNS, ShardPayload, light_row
 
 
 def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRecord:
@@ -187,6 +188,55 @@ class TestRoundIsolation:
         store = MeasurementStore(path)
         info = store.round_info(1)
         assert info.degraded is False and info.error_count == 0
+        store.close()
+
+
+class TestViewFold:
+    """The per-IP-history read model is :func:`light_row` of each base
+    row, folded in the shard commit."""
+
+    def test_write_shards_folds_light_rows(self):
+        bodiless = RoundRecord(
+            ip=9, round_id=1, timestamp=0,
+            probe=ProbeOutcome(
+                ip=9, status=ProbeStatus.RESPONSIVE,
+                open_ports=frozenset({22, 443}),
+            ),
+            fetch=FetchResult(
+                ip=9, status=FetchStatus.NOT_ATTEMPTED, url="",
+                headers={"Server": "nginx"},
+            ),
+            features=PageFeatures(title="kept?", server="nginx",
+                                  template="wp"),
+        )
+        records = [record(1, 1, 0, "a"), record(2, 1, 0, "b"), bodiless]
+        store = MeasurementStore()
+        store.begin_round(1, 0, 10, shard_size=2)
+        store.write_shards(1, [
+            ShardPayload(shard_index=0, records=tuple(records[:2])),
+            ShardPayload(shard_index=1, records=tuple(records[2:])),
+        ])
+        store.finalize_round(1)
+        table = store.round_info(1).table_name
+        base = {
+            row["ip"]: dict(row)
+            for row in store._conn.execute(f"SELECT * FROM {table}")
+        }
+        columns = ", ".join(IP_HISTORY_COLUMNS)
+        view = {
+            row[0]: dict(zip(IP_HISTORY_COLUMNS, row))
+            for row in store._conn.execute(
+                f"SELECT {columns} FROM view_ip_history"
+            )
+        }
+        assert view == {ip: light_row(row) for ip, row in base.items()}
+        assert base[9]["body"] is None
+        assert base[9]["server"] == "nginx"
+        assert view[9]["server"] is None
+        assert view[9]["title"] is None
+        assert view[9]["template"] is None
+        assert view[1]["title"] == "a"
+        assert store.ip_history_rows(9) == [view[9]]
         store.close()
 
 
